@@ -21,8 +21,7 @@ import (
 type KernelPoint struct {
 	// Kernel names the measured path: dd-naive (pre-tiling ikj baseline),
 	// dd-tiled, dd-nt / dd-tn (fused transpose GEMM), sd / ds (sparse-dense
-	// at ~5% density), dd-par (tiled kernel at Workers kernel workers),
-	// dd-strassen (Strassen recursion, eligible sizes only).
+	// at ~5% density), dd-par (tiled kernel at Workers kernel workers).
 	Kernel string `json:"kernel"`
 	// Size is the square block side.
 	Size int `json:"size"`
@@ -36,9 +35,8 @@ type KernelPoint struct {
 	// GFLOPS is the achieved throughput (effective flops for sparse paths).
 	GFLOPS float64 `json:"gflops"`
 	// Speedup is the ratio of a baseline's NsPerOp to this point's at the
-	// same size: the dd-naive baseline for the dense tiled kernels, the
-	// one-worker dd-par point for the worker curve, and dd-tiled (classical)
-	// for dd-strassen — so a dd-strassen speedup above 1 marks the crossover.
+	// same size: the dd-naive baseline for the dense tiled kernels and the
+	// one-worker dd-tiled point for the worker curve.
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
@@ -112,9 +110,8 @@ func measure(f func()) (nsPerOp float64, reps int) {
 // Kernels runs the kernel microbenchmark suite over the given square block
 // sizes and returns the report. The single-path kernels are measured at one
 // kernel worker; every count in workerCounts adds a dd-par point per size
-// (the multi-core speedup curve), and eligible sizes add a dd-strassen point
-// whose speedup against dd-tiled is the classical-vs-Strassen crossover
-// table. A nil workerCounts measures the worker curve at 1 only.
+// (the multi-core speedup curve). A nil workerCounts measures the worker
+// curve at 1 only.
 func Kernels(sizes []int, workerCounts []int) *KernelReport {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1}
@@ -189,24 +186,6 @@ func Kernels(sizes []int, workerCounts []int) *KernelReport {
 				Reps:    reps,
 				NsPerOp: ns,
 				GFLOPS:  denseFLOPs / ns,
-				Speedup: tiledNs / ns,
-			})
-		}
-		// Crossover table: the Strassen recursion against the classical tiled
-		// kernel, at the sizes where the recursion is eligible at all.
-		if matrix.StrassenOK(n, n, n) {
-			ns, reps := measure(func() {
-				dst.Zero()
-				if err := matrix.MulAddTransAlgoInto(dst, a, b, false, false, matrix.MulStrassen); err != nil {
-					panic(err)
-				}
-			})
-			rep.Points = append(rep.Points, KernelPoint{
-				Kernel:  "dd-strassen",
-				Size:    n,
-				Reps:    reps,
-				NsPerOp: ns,
-				GFLOPS:  denseFLOPs / ns, // classical-equivalent throughput
 				Speedup: tiledNs / ns,
 			})
 		}

@@ -14,10 +14,11 @@ import (
 func TestKernelsSmoke(t *testing.T) {
 	sizes := []int{8, 48}
 	workers := []int{1, 2}
+	before := matrix.KernelWorkers()
 	rep := Kernels(sizes, workers)
 	wantKernels := []string{"dd-naive", "dd-tiled", "dd-nt", "dd-tn", "sd", "ds"}
 	// Six single-path kernels plus one dd-par point per worker count at each
-	// size; no dd-strassen below the eligibility floor.
+	// size.
 	if got, want := len(rep.Points), len(sizes)*(len(wantKernels)+len(workers)); got != want {
 		t.Fatalf("%d points, want %d", got, want)
 	}
@@ -31,7 +32,7 @@ func TestKernelsSmoke(t *testing.T) {
 			t.Errorf("%s/%d: non-positive GFLOPS", p.Kernel, p.Size)
 		}
 		switch p.Kernel {
-		case "dd-tiled", "dd-nt", "dd-tn", "dd-par", "dd-strassen":
+		case "dd-tiled", "dd-nt", "dd-tn", "dd-par":
 			if p.Speedup <= 0 {
 				t.Errorf("%s/%d: speedup not set", p.Kernel, p.Size)
 			}
@@ -56,8 +57,8 @@ func TestKernelsSmoke(t *testing.T) {
 	if seen["dd-par"] != len(sizes)*len(workers) {
 		t.Errorf("dd-par measured %d times, want %d", seen["dd-par"], len(sizes)*len(workers))
 	}
-	if matrix.KernelWorkers() != 1 {
-		t.Errorf("Kernels left kernel workers at %d", matrix.KernelWorkers())
+	if got := matrix.KernelWorkers(); got != before {
+		t.Errorf("Kernels left kernel workers at %d, want the pre-call %d", got, before)
 	}
 
 	var buf bytes.Buffer
@@ -72,25 +73,4 @@ func TestKernelsSmoke(t *testing.T) {
 		t.Error("JSON round trip lost data")
 	}
 	WriteKernels(&buf, rep) // must not panic
-}
-
-// TestKernelsStrassenPoint checks that an eligible size emits the Strassen
-// crossover point and an ineligible one does not.
-func TestKernelsStrassenPoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1024-block strassen measurement in -short mode")
-	}
-	rep := Kernels([]int{1024}, []int{1})
-	found := false
-	for _, p := range rep.Points {
-		if p.Kernel == "dd-strassen" {
-			found = true
-			if p.Speedup <= 0 {
-				t.Errorf("dd-strassen speedup not set")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no dd-strassen point at size 1024")
-	}
 }

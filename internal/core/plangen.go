@@ -26,13 +26,6 @@ type Config struct {
 	// DisableCPMM removes the CPMM strategy from the candidate set, for
 	// ablating the strategy space.
 	DisableCPMM bool
-	// BlockSize is the session block side; the multiply-algorithm model
-	// clamps operator shapes to it, since block products are what execute.
-	// Zero leaves shapes unclamped.
-	BlockSize int
-	// Cores is the intra-op kernel parallelism multiply pricing assumes
-	// (matrix.KernelWorkers() at execution time). Zero or negative means 1.
-	Cores int
 }
 
 // Generate builds a communication-efficient execution plan for a matrix
@@ -193,13 +186,6 @@ func (g *gen) emit(n *expr.Node) error {
 		Strategy:   chosen.strategy,
 		ScalarName: g.scalarName[n.ID],
 		Output:     -1,
-	}
-	if n.Kind == expr.KindMul {
-		// The compute-side strategy pick: classical vs Strassen from the
-		// operator's shape and worst-case sparsities (see mulalgo.go).
-		in0, in1 := n.Inputs[0], n.Inputs[1]
-		op.MulAlgo = ChooseMulAlgo(n.Rows, in0.Cols(), n.Cols,
-			in0.Node.Sparsity, in1.Node.Sparsity, g.cfg.BlockSize, g.cfg.Cores)
 	}
 	for slot, scheme := range chosen.ins {
 		in := n.Inputs[slot]

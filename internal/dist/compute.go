@@ -56,19 +56,12 @@ func mulFLOPs(a, b *DistMatrix) float64 {
 	return 2 * an * math.Max(perRowB, 1)
 }
 
-// Multiply runs a distributed multiplication with the given strategy and
-// the classical block kernel. The operand schemes must match the strategy's
-// requirements; the output scheme for CPMM is outScheme (Row or Col),
-// ignored for RMM1/RMM2.
+// Multiply runs a distributed multiplication with the given strategy; the
+// strategy decides how blocks move, and every worker computes its block
+// products with the classical block kernels. The operand schemes must match
+// the strategy's requirements; the output scheme for CPMM is outScheme (Row
+// or Col), ignored for RMM1/RMM2.
 func (c *Cluster) Multiply(ctx context.Context, a, b *DistMatrix, strategy MulStrategy, outScheme dep.Scheme, stage int) (*DistMatrix, error) {
-	return c.MultiplyAlgo(ctx, a, b, strategy, matrix.MulClassical, outScheme, stage)
-}
-
-// MultiplyAlgo is Multiply with an explicit per-operator multiply algorithm:
-// the communication strategy decides how blocks move, the algorithm decides
-// how each worker computes its block products (classical tiled GEMM or
-// Strassen). The two compose freely.
-func (c *Cluster) MultiplyAlgo(ctx context.Context, a, b *DistMatrix, strategy MulStrategy, algo matrix.MulAlgo, outScheme dep.Scheme, stage int) (*DistMatrix, error) {
 	var want [2]dep.Scheme
 	switch strategy {
 	case RMM1:
@@ -90,7 +83,7 @@ func (c *Cluster) MultiplyAlgo(ctx context.Context, a, b *DistMatrix, strategy M
 	}
 	// Transpose views are fused into the multiply kernels: the stored grids
 	// are read by stride, no transposed copy is allocated.
-	grid, err := c.exec.MulTransAlgo(a.Grid, b.Grid, a.trans, b.trans, sched.InPlace, algo)
+	grid, err := c.exec.MulTrans(a.Grid, b.Grid, a.trans, b.trans, sched.InPlace)
 	if err != nil {
 		return nil, err
 	}

@@ -342,19 +342,16 @@ func (e *Engine) rewritten(p *expr.Program) *expr.Program {
 // planSignature captures everything outside the program that plan
 // generation depends on: the cached schemes of the variables the program
 // reads, the worker count, the ablation flags, whether (and under which rule
-// version) the rewrite pass canonicalized the program, and the inputs of the
-// multiply-algorithm pick — block size and kernel worker count — so a plan
-// whose operators were priced for one kernel configuration can never be
-// served under another.
+// version) the rewrite pass canonicalized the program. The block size and
+// the kernel worker count are not part of it: plan generation reads neither.
 func (e *Engine) planSignature(p *expr.Program) string {
 	rw := 0
 	if e.rewriter != nil {
 		rw = rewrite.Version
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "w=%d;pu=%v;ra=%v;cp=%v;rw=%d;bs=%d;kw=%d;",
-		e.cluster.Workers(), e.disablePullUp, e.disableReassign, e.disableCPMM, rw,
-		e.blockSize, matrix.KernelWorkers())
+	fmt.Fprintf(&b, "w=%d;pu=%v;ra=%v;cp=%v;rw=%d;",
+		e.cluster.Workers(), e.disablePullUp, e.disableReassign, e.disableCPMM, rw)
 	for _, n := range p.Nodes() {
 		if n.Kind != expr.KindLoad && n.Kind != expr.KindVar {
 			continue
@@ -531,8 +528,6 @@ func (e *Engine) planConfig() core.Config {
 		DisablePullUp:   e.disablePullUp,
 		DisableReassign: e.disableReassign,
 		DisableCPMM:     e.disableCPMM,
-		BlockSize:       e.blockSize,
-		Cores:           matrix.KernelWorkers(),
 	}
 }
 

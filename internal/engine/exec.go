@@ -12,6 +12,7 @@ import (
 	"dmac/internal/dep"
 	"dmac/internal/dist"
 	"dmac/internal/expr"
+	"dmac/internal/matrix"
 	"dmac/internal/obs"
 	"dmac/internal/retry"
 )
@@ -234,8 +235,10 @@ func (e *Engine) opSpan(plan *core.Plan, stage int, op *core.Op) obs.SpanID {
 	}
 	if op.Kind == core.OpCompute {
 		attrs = append(attrs, obs.String("strategy", op.Strategy.String()))
+		// mul_algo marks multiply operators; span readers classify op
+		// self time as "mul" by its presence.
 		if op.Node != nil && op.Node.Kind == expr.KindMul {
-			attrs = append(attrs, obs.String("mul_algo", op.MulAlgo.String()))
+			attrs = append(attrs, obs.String("mul_algo", matrix.MulClassical.String()))
 		}
 	}
 	for j, d := range op.InDeps {
@@ -379,7 +382,7 @@ func (e *Engine) compute(ctx context.Context, plan *core.Plan, op *core.Op, vals
 		if op.Strategy == core.CPMM {
 			outScheme = plan.Value(op.Output).Scheme
 		}
-		return e.cluster.MultiplyAlgo(ctx, in(0), in(1), strat, op.MulAlgo, outScheme, op.Stage)
+		return e.cluster.Multiply(ctx, in(0), in(1), strat, outScheme, op.Stage)
 	case expr.KindCell:
 		return e.cluster.Cellwise(n.BinOp, in(0), in(1))
 	case expr.KindScalar:

@@ -12,7 +12,8 @@ import (
 
 // TestRunTraced checks the span structure one traced Run emits: a run span
 // carrying the plan-cache outcome, a stage span per stage, an op span per
-// operator, and comm spans whose byte sums match the run's metrics exactly.
+// operator (multiplies marked with mul_algo), and comm spans whose byte sums
+// match the run's metrics exactly.
 func TestRunTraced(t *testing.T) {
 	e := New(DMac, testConfig(), tBS)
 	tr := obs.NewTracer()
@@ -26,7 +27,7 @@ func TestRunTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()
-	var runs, stages, ops int
+	var runs, stages, ops, mulOps int
 	var commBytes int64
 	var commEvents int
 	for _, s := range spans {
@@ -46,6 +47,12 @@ func TestRunTraced(t *testing.T) {
 			if _, ok := s.Attr("stage"); !ok {
 				t.Errorf("op span %q has no stage attr", s.Name)
 			}
+			if a, ok := s.Attr("mul_algo"); ok {
+				mulOps++
+				if a.Str != "classical" {
+					t.Errorf("op span %q mul_algo = %q, want classical", s.Name, a.Str)
+				}
+			}
 		case s.Cat == "comm":
 			commEvents++
 			a, ok := s.Attr("bytes")
@@ -63,6 +70,9 @@ func TestRunTraced(t *testing.T) {
 	}
 	if ops == 0 {
 		t.Fatal("no op spans recorded")
+	}
+	if mulOps == 0 {
+		t.Fatal("no op span carries mul_algo; GNMF multiplies")
 	}
 	if commBytes != m.CommBytes {
 		t.Fatalf("trace comm bytes = %d, Metrics.CommBytes = %d", commBytes, m.CommBytes)

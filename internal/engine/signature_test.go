@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"dmac/internal/dist"
 	"dmac/internal/expr"
+	"dmac/internal/matrix"
 	"dmac/internal/rewrite"
 	"dmac/internal/workload"
 )
@@ -109,5 +111,63 @@ func TestPlanSignatureEncodesRewriter(t *testing.T) {
 	on.SetRewriter(rewrite.New())
 	if off.planSignature(p) == on.planSignature(p) {
 		t.Fatalf("plan signatures identical with and without rewriter: %q", off.planSignature(p))
+	}
+}
+
+// TestPlanSignatureEncodesKernelConfig: a plan-cache key carries exactly
+// the kernel configuration plans depend on. The kernel generation is in
+// every program signature; the block size and the kernel worker count are
+// not in the session signature, because plan generation reads neither, so
+// sessions differing only in those share one signature and get one plan.
+func TestPlanSignatureEncodesKernelConfig(t *testing.T) {
+	p := signatureProgram()
+	if sig := ProgramSignature(p); !strings.Contains(sig, "mk"+strconv.Itoa(matrix.KernelVersion)+"|") {
+		t.Fatalf("program signature %q does not carry kernel version %d", sig, matrix.KernelVersion)
+	}
+	defer matrix.SetKernelWorkers(matrix.SetKernelWorkers(1))
+	small := New(DMac, dist.Config{Workers: 2}, 4)
+	sig := small.planSignature(p)
+	want, err := small.Plan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kw := range []int{1, 8} {
+		matrix.SetKernelWorkers(kw)
+		for _, bs := range []int{4, 8} {
+			e := New(DMac, dist.Config{Workers: 2}, bs)
+			if got := e.planSignature(p); got != sig {
+				t.Errorf("bs=%d kw=%d: signature %q, want %q", bs, kw, got, sig)
+			}
+			got, err := e.Plan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Errorf("bs=%d kw=%d: plan differs:\n%s\nwant:\n%s", bs, kw, got, want)
+			}
+		}
+	}
+}
+
+// TestSignaturePrefixEncodesKernelVersion: the shared-cache key prefix must
+// carry the multiply-kernel generation so entries from a previous kernel
+// generation can never be served.
+func TestSignaturePrefixEncodesKernelVersion(t *testing.T) {
+	prefix := SignaturePrefix()
+	if !strings.Contains(prefix, "mk") {
+		t.Fatalf("prefix %q does not encode the kernel version", prefix)
+	}
+	sig := ProgramSignature(signatureProgram())
+	pc := NewPlanCache(8)
+	e := New(DMac, dist.Config{Workers: 2}, 4)
+	plan, err := e.Plan(signatureProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.Put(sig, plan)
+	// A key minted under a different kernel generation must miss.
+	legacy := strings.Replace(sig, prefix, "ps1;rw"+strconv.Itoa(matrix.KernelVersion)+";mk1|", 1)
+	if legacy != sig && pc.Get(legacy) != nil {
+		t.Fatal("foreign kernel-version key hit the cache")
 	}
 }

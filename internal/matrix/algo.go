@@ -1,25 +1,22 @@
 package matrix
 
-// Multiply algorithm selection. The planner prices each dense multiply as
-// classical (the tiled GEMM) or Strassen (strassen.go) and records its pick
-// per operator; execution dispatches through MulAddTransAlgoInto. The algo
-// is orthogonal to the paper's communication strategies: it decides how one
-// node computes a block product, not how blocks move.
-
 // KernelVersion identifies the numeric behavior of the multiply kernels. It
 // is folded into plan-cache signatures so cached plans never cross-serve
-// across kernel generations (v1: serial tiled GEMM; v2: parallel strips +
-// Strassen strategy).
-const KernelVersion = 2
+// across kernel generations (v1: serial tiled GEMM; v2: parallel strips plus
+// a recursive algorithm on large dense block products; v3: parallel strips,
+// every block product on the classical kernels).
+const KernelVersion = 3
 
-// MulAlgo names the algorithm a dense multiply runs.
+// MulAlgo is only the label set of the kernel.strategy.count{strategy}
+// counter, under which every multiply records MulClassical. It is kept until
+// a benchmark change drops the two matrix.strategy_count.* metrics that read
+// both labels.
 type MulAlgo uint8
 
 const (
-	// MulClassical is the cache-blocked tiled GEMM (gemm.go).
+	// MulClassical labels the classical tiled and sparse kernels.
 	MulClassical MulAlgo = iota
-	// MulStrassen is the Strassen recursion over quadrant views
-	// (strassen.go), bottoming out in the tiled GEMM.
+	// MulStrassen labels the removed Strassen recursion; nothing records it.
 	MulStrassen
 )
 
@@ -28,39 +25,4 @@ func (a MulAlgo) String() string {
 		return "strassen"
 	}
 	return "classical"
-}
-
-// StrassenCrossover is the dimension below which the recursion bottoms out
-// into the tiled kernel. One halving step must produce quadrants still large
-// enough for the packed kernel to win, so eligibility requires every
-// dimension to be at least twice this. Measured on the kernel benchmark: a
-// halving step below this trades ~14% of the flops for add passes that cost
-// more than the savings, so 512-sized leaves are where recursion stops
-// paying.
-const StrassenCrossover = 512
-
-// StrassenOK reports whether an n x m times m x p multiply is large enough
-// for the Strassen recursion to take at least one halving step.
-func StrassenOK(n, m, p int) bool {
-	return n >= 2*StrassenCrossover && m >= 2*StrassenCrossover && p >= 2*StrassenCrossover
-}
-
-// MulAddTransAlgoInto computes dst += op(a) * op(b) using the requested
-// algorithm. MulStrassen applies only to dense x dense shapes that clear
-// StrassenOK; everything else silently runs the classical kernels, so a
-// planner pick made from estimated shapes is always safe to execute.
-func MulAddTransAlgoInto(dst *DenseBlock, a, b Block, aT, bT bool, algo MulAlgo) error {
-	if algo == MulStrassen {
-		ad, aok := a.(*DenseBlock)
-		bd, bok := b.(*DenseBlock)
-		if aok && bok {
-			n, m := transDims(a, aT)
-			mb, p := transDims(b, bT)
-			if m == mb && StrassenOK(n, m, p) && dst.Rows() == n && dst.Cols() == p {
-				strassenMulAdd(dst, ad, bd, aT, bT)
-				return nil
-			}
-		}
-	}
-	return MulAddTransInto(dst, a, b, aT, bT)
 }

@@ -91,15 +91,8 @@ func mulAddDDTrans(dst, a, b *DenseBlock, aT, bT bool) {
 		mulAddDDSmall(dst, a, b, aT, bT)
 		return
 	}
-	gemmStrided(dst.Data, dst.cols, n, p, a.Data, a.cols, aT, b.Data, b.cols, bT, m, KernelWorkers())
-}
-
-// gemmStrided is the packed tiled kernel over raw strided storage:
-// C[0:n, 0:p] (leading dimension ldc) += op(A) * op(B), where op(A) is n x m
-// read from a/lda (transposed when aT) and op(B) is m x p from b/ldb. It is
-// shared by the block entry point above and by Strassen's quadrant views,
-// which are strided sub-matrices with ld > cols.
-func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []float64, ldb int, bT bool, m, workers int) {
+	c, ldc := dst.Data, dst.cols
+	workers := KernelWorkers()
 	bbufp := gemmBBufPool.Get().(*[]float64)
 	bbuf := *bbufp
 	iStrips := (n + gemmMC - 1) / gemmMC
@@ -112,20 +105,20 @@ func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []
 		kw := min(gemmKC, m-k0)
 		for j0 := 0; j0 < p; j0 += gemmNC {
 			jw := min(gemmNC, p-j0)
-			gemmPackB(bbuf, b, ldb, bT, k0, kw, j0, jw)
+			gemmPackB(bbuf, b.Data, b.cols, bT, k0, kw, j0, jw)
 			if parallel {
 				k0, j0, kw, jw := k0, j0, kw, jw
 				parallelStrips(iStrips, workers, func(s int, abuf []float64) {
 					i0 := s * gemmMC
 					iw := min(gemmMC, n-i0)
-					gemmPackA(abuf, a, lda, aT, i0, iw, k0, kw)
+					gemmPackA(abuf, a.Data, a.cols, aT, i0, iw, k0, kw)
 					gemmMacro(c, ldc, i0, j0, iw, jw, kw, abuf, bbuf)
 				})
 				continue
 			}
 			for i0 := 0; i0 < n; i0 += gemmMC {
 				iw := min(gemmMC, n-i0)
-				gemmPackA(*abufp, a, lda, aT, i0, iw, k0, kw)
+				gemmPackA(*abufp, a.Data, a.cols, aT, i0, iw, k0, kw)
 				gemmMacro(c, ldc, i0, j0, iw, jw, kw, *abufp, bbuf)
 			}
 		}
@@ -142,33 +135,27 @@ func gemmStrided(c []float64, ldc, n, p int, a []float64, lda int, aT bool, b []
 func mulAddDDSmall(dst, a, b *DenseBlock, aT, bT bool) {
 	n, m := transDims(a, aT)
 	_, p := transDims(b, bT)
-	mulAddSmallStrided(dst.Data, dst.cols, n, m, p, a.Data, a.cols, aT, b.Data, b.cols, bT)
-}
-
-// mulAddSmallStrided is the strided triple loop over raw storage, shared by
-// the small-block fallback and Strassen's peeling leaves.
-func mulAddSmallStrided(c []float64, ldc, n, m, p int, a []float64, lda int, aT bool, b []float64, ldb int, bT bool) {
-	ra, ca := lda, 1
+	ra, ca := a.cols, 1
 	if aT {
-		ra, ca = 1, lda
+		ra, ca = 1, a.cols
 	}
-	rb, cb := ldb, 1
+	rb, cb := b.cols, 1
 	if bT {
-		rb, cb = 1, ldb
+		rb, cb = 1, b.cols
 	}
 	for i := 0; i < n; i++ {
-		drow := c[i*ldc : i*ldc+p]
+		drow := dst.Data[i*dst.cols : i*dst.cols+p]
 		for k := 0; k < m; k++ {
-			av := a[i*ra+k*ca]
+			av := a.Data[i*ra+k*ca]
 			bbase := k * rb
 			if cb == 1 {
-				brow := b[bbase : bbase+p]
+				brow := b.Data[bbase : bbase+p]
 				for j, bv := range brow {
 					drow[j] += av * bv
 				}
 			} else {
 				for j := 0; j < p; j++ {
-					drow[j] += av * b[bbase+j*cb]
+					drow[j] += av * b.Data[bbase+j*cb]
 				}
 			}
 		}

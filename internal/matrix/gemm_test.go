@@ -23,9 +23,8 @@ var gemmDims = []int{0, 1, 2, 3, 5, 17, 33, 40, 69, 70}
 
 // TestMulAddTransDifferential fuzzes every kernel path (DD tiled and small,
 // SD, DS, SS, each under all four transpose combinations) against the generic
-// oracle on random shapes and densities, rotating the kernel worker count and
-// the multiply algorithm so the parallel and Strassen dispatch paths see the
-// same shape soup as the serial classical one.
+// oracle on random shapes and densities, rotating the kernel worker count so
+// the parallel paths see the same shape soup as the serial one.
 func TestMulAddTransDifferential(t *testing.T) {
 	defer SetKernelWorkers(SetKernelWorkers(1))
 	rng := rand.New(rand.NewSource(42))
@@ -54,9 +53,8 @@ func TestMulAddTransDifferential(t *testing.T) {
 		a := mk(ar, ac, aKind)
 		b := mk(br, bc, bKind)
 		SetKernelWorkers([]int{1, 2, 4}[rng.Intn(3)])
-		algo := MulAlgo(rng.Intn(2))
 		dst := NewDense(n, p)
-		if err := MulAddTransAlgoInto(dst, a, b, aT, bT, algo); err != nil {
+		if err := MulAddTransInto(dst, a, b, aT, bT); err != nil {
 			t.Fatalf("iter %d (%dx%dx%d aT=%v bT=%v): %v", iter, n, m, p, aT, bT, err)
 		}
 		want := refMulTrans(a, b, aT, bT)
@@ -122,7 +120,9 @@ func TestGemmAVXMatchesGo(t *testing.T) {
 }
 
 // TestMulAddTransIntoAllocFree verifies the steady-state dense multiply
-// allocates nothing: the packing buffers come from the pool.
+// allocates nothing: the packing buffers come from the pool. The race
+// detector makes sync.Pool drop Puts at random, so the claim, which is about
+// the production build, is only asserted without -race.
 func TestMulAddTransIntoAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randDense(rng, 96, 96)
@@ -133,7 +133,7 @@ func TestMulAddTransIntoAllocFree(t *testing.T) {
 		if err := MulAddTransInto(dst, a, b, false, false); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
+	}); avg != 0 && !raceEnabled {
 		t.Errorf("dense MulAddTransInto allocates %v times per op, want 0", avg)
 	}
 }

@@ -76,7 +76,9 @@ func TestMulTransShapeErrors(t *testing.T) {
 }
 
 // TestMulTransKernelMetrics: a multiply with a registry attached must record
-// the kernel counters and the achieved-GFLOPs gauge/histogram.
+// the kernel counters and the achieved-GFLOPs gauge/histogram, and every
+// multiply lands under kernel.strategy.count{strategy="classical"}, so that
+// child always equals kernel.mul.count.
 func TestMulTransKernelMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := randGrid(rng, 20, 20, 5, 1)
@@ -84,12 +86,15 @@ func TestMulTransKernelMetrics(t *testing.T) {
 	e := NewExecutor(2, nil)
 	reg := obs.NewRegistry()
 	e.SetObserver(nil, reg)
-	if _, err := e.MulTrans(a, b, false, false, InPlace); err != nil {
-		t.Fatal(err)
+	for _, s := range []MulStrategy{InPlace, Buffer, InPlace} {
+		if _, err := e.MulTrans(a, b, false, true, s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["kernel.mul.count"]; got != 1 {
-		t.Errorf("kernel.mul.count = %d, want 1", got)
+	muls := snap.Counters["kernel.mul.count"]
+	if muls != 3 {
+		t.Errorf("kernel.mul.count = %d, want 3", muls)
 	}
 	if got := snap.Counters["kernel.mul.flops"]; got <= 0 {
 		t.Errorf("kernel.mul.flops = %d, want > 0", got)
@@ -98,25 +103,11 @@ func TestMulTransKernelMetrics(t *testing.T) {
 		t.Errorf("kernel.mul.gflops gauge = %v (present=%v), want > 0", got, ok)
 	}
 	cs := snap.CounterVecs["kernel.strategy.count"]
-	if len(cs) != 1 || cs[0].Labels["strategy"] != "classical" || cs[0].Value != 1 {
-		t.Errorf("kernel.strategy.count = %+v, want one classical=1 child", cs)
+	if len(cs) != 1 || cs[0].Labels["strategy"] != "classical" || cs[0].Value != muls {
+		t.Errorf("kernel.strategy.count = %+v, want one classical child equal to kernel.mul.count %d", cs, muls)
 	}
 	if got, ok := snap.Gauges["kernel.workers"]; !ok || got < 1 {
 		t.Errorf("kernel.workers gauge = %v (present=%v), want >= 1", got, ok)
-	}
-
-	// An explicit Strassen dispatch lands under its own strategy label even
-	// when the shape falls back to the classical kernels.
-	if _, err := e.MulTransAlgo(a, b, false, false, InPlace, matrix.MulStrassen); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	strategies := map[string]int64{}
-	for _, c := range snap.CounterVecs["kernel.strategy.count"] {
-		strategies[c.Labels["strategy"]] = c.Value
-	}
-	if strategies["classical"] != 1 || strategies["strassen"] != 1 {
-		t.Errorf("kernel.strategy.count children = %v, want classical=1 strassen=1", strategies)
 	}
 }
 
