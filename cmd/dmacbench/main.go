@@ -10,8 +10,7 @@
 //	dmacbench -chaos
 //	dmacbench -trace out.json -metrics-out metrics.json
 //	dmacbench -kernels -kernel-sizes 64,128,256,512 -kernel-workers 1,2,4,8 -kernels-out BENCH_kernels.json
-//	dmacbench -serve -serve-tenants 3 -serve-jobs 8 -serve-out BENCH_serve.json
-//	dmacbench -serve -open-loop -serve-out BENCH_autoscale.json
+//	dmacbench -open-loop -serve-out BENCH_autoscale.json
 package main
 
 import (
@@ -44,13 +43,9 @@ func main() {
 	kernelSizes := flag.String("kernel-sizes", "64,128,256,512", "comma-separated square block sizes for -kernels")
 	kernelWorkers := flag.String("kernel-workers", "1,2,4,8", "comma-separated kernel worker counts for the -kernels multi-core curve")
 	kernelsOut := flag.String("kernels-out", "", "with -kernels, also write the report JSON to this path")
-	serveMode := flag.Bool("serve", false, "run only the closed-loop serve load benchmark (K tenants x M jobs against an in-process job service)")
-	serveTenants := flag.Int("serve-tenants", 3, "with -serve, concurrent tenants (K)")
-	serveJobs := flag.Int("serve-jobs", 8, "with -serve, jobs per tenant (M)")
-	serveSlots := flag.Int("serve-slots", 3, "with -serve, engine pool size")
-	serveSeed := flag.Int64("serve-seed", 1, "with -serve, workload-mix seed")
-	serveOut := flag.String("serve-out", "", "with -serve, also write the report JSON to this path")
-	openLoop := flag.Bool("open-loop", false, "with -serve, run the open-loop (Poisson-arrival) autoscaler ramp instead of the closed-loop load: warm -> 10x surge -> cool, autoscaled vs fixed 1-slot pool")
+	openLoop := flag.Bool("open-loop", false, "run only the open-loop (Poisson-arrival) autoscaler ramp against an in-process job service: warm -> 10x surge -> cool, autoscaled vs fixed 1-slot pool")
+	serveSeed := flag.Int64("serve-seed", 1, "with -open-loop, arrival-process seed")
+	serveOut := flag.String("serve-out", "", "with -open-loop, also write the report JSON to this path")
 	surgeFactor := flag.Float64("surge-factor", 10, "with -open-loop, surge-to-base arrival-rate ratio")
 	openLoopMax := flag.Int("open-loop-max-slots", 6, "with -open-loop, autoscaled pool upper bound")
 	rewriteOut := flag.String("rewrite-out", "", "with -exp rewrite, also write the A/B report JSON to this path")
@@ -84,7 +79,7 @@ func main() {
 		}
 		return
 	}
-	if *serveMode && *openLoop {
+	if *openLoop {
 		opts := bench.OpenLoopOptions{
 			Seed:        *serveSeed,
 			SurgeFactor: *surgeFactor,
@@ -95,21 +90,6 @@ func main() {
 			return os.WriteFile(path, data, 0o644)
 		}); err != nil {
 			log.Fatalf("open-loop: %v", err)
-		}
-		return
-	}
-	if *serveMode {
-		opts := bench.ServeOptions{
-			Tenants:       *serveTenants,
-			JobsPerTenant: *serveJobs,
-			Slots:         *serveSlots,
-			Seed:          *serveSeed,
-			Timeout:       *timeout,
-		}
-		if err := bench.Serve(w, opts, *serveOut, func(path string, data []byte) error {
-			return os.WriteFile(path, data, 0o644)
-		}); err != nil {
-			log.Fatalf("serve: %v", err)
 		}
 		return
 	}

@@ -96,6 +96,20 @@ func (c Config) MaxSlowdown() float64 {
 	return m
 }
 
+// ComputeSec is the modelled time of flops of arithmetic spread over every
+// worker thread; a stage waits for its slowest worker, so the largest
+// straggler slowdown stretches it.
+func (c Config) ComputeSec(flops float64) float64 {
+	return flops * c.MaxSlowdown() / (float64(c.Workers*c.LocalParallelism) * c.FlopsPerSecPerThread)
+}
+
+// NetworkSec is the modelled time of moving bytes over the aggregate
+// bandwidth in events communication operations, each paying the
+// per-shuffle latency.
+func (c Config) NetworkSec(bytes int64, events int) float64 {
+	return float64(bytes)/c.BandwidthBytesPerSec + float64(events)*c.ShuffleLatencySec
+}
+
 func (c Config) withDefaults() Config {
 	if len(c.WorkerAddrs) > 0 {
 		c.Workers = len(c.WorkerAddrs)
@@ -291,10 +305,7 @@ func (c *Cluster) Config() Config { return c.cfg }
 // per-shuffle latency.
 func (c *Cluster) ModelTimeSec() float64 {
 	s := c.net.Snapshot()
-	compute := s.FLOPs * c.cfg.MaxSlowdown() /
-		(float64(c.cfg.Workers*c.cfg.LocalParallelism) * c.cfg.FlopsPerSecPerThread)
-	network := float64(s.Bytes)/c.cfg.BandwidthBytesPerSec + float64(s.CommEvents)*c.cfg.ShuffleLatencySec
-	return compute + network + s.StallSec
+	return c.cfg.ComputeSec(s.FLOPs) + c.cfg.NetworkSec(s.Bytes, s.CommEvents) + s.StallSec
 }
 
 // NetStats accumulates communication and compute statistics. All methods

@@ -126,11 +126,8 @@ func (e *Engine) execute(ctx context.Context, plan *core.Plan, sig string, param
 // the delta describes would cost.
 func (e *Engine) modelCost(before, after dist.Snapshot) float64 {
 	cfg := e.cluster.Config()
-	threads := float64(cfg.Workers * cfg.LocalParallelism)
-	compute := (after.FLOPs - before.FLOPs) * cfg.MaxSlowdown() / (threads * cfg.FlopsPerSecPerThread)
-	network := float64(after.Bytes-before.Bytes)/cfg.BandwidthBytesPerSec +
-		float64(after.CommEvents-before.CommEvents)*cfg.ShuffleLatencySec
-	return compute + network
+	return cfg.ComputeSec(after.FLOPs-before.FLOPs) +
+		cfg.NetworkSec(after.Bytes-before.Bytes, after.CommEvents-before.CommEvents)
 }
 
 // runStage executes one stage's ops, retrying on injected worker failures

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,6 +84,37 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &ch.c
 }
 
+// Sum totals the children whose labels equal match on every name match
+// gives; names match leaves out are unconstrained, so a nil match sums the
+// whole family. A name the family does not have matches no child. A nil
+// family sums to 0.
+func (v *CounterVec) Sum(match map[string]string) int64 {
+	if v == nil {
+		return 0
+	}
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	var total int64
+	for _, ch := range v.children {
+		if labelsMatch(v.names, ch.values, match) {
+			total += ch.c.Value()
+		}
+	}
+	return total
+}
+
+// labelsMatch reports whether a child's label values equal match on every
+// name match gives.
+func labelsMatch(names, values []string, match map[string]string) bool {
+	for name, want := range match {
+		i := slices.Index(names, name)
+		if i < 0 || values[i] != want {
+			return false
+		}
+	}
+	return true
+}
+
 // GaugeVec is a family of gauges keyed by label values.
 type GaugeVec struct {
 	names    []string
@@ -136,9 +168,11 @@ type labeledHistogram struct {
 }
 
 func newHistogramVec(bounds []float64, names []string) *HistogramVec {
+	b := append([]float64(nil), bounds...)
+	sort.Float64s(b) // as newHistogram does, so Merged lines up with every child
 	return &HistogramVec{
 		names:    append([]string(nil), names...),
-		bounds:   append([]float64(nil), bounds...),
+		bounds:   b,
 		children: make(map[string]*labeledHistogram),
 	}
 }
@@ -163,6 +197,31 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 		v.mu.Unlock()
 	}
 	return ch.h
+}
+
+// Merged folds every child into one snapshot over the family's bounds: the
+// distribution a single unlabeled histogram observing the same samples
+// would hold. Children are added in label order, so Sum is reproducible. A
+// nil family yields the empty snapshot, whose Quantile is 0.
+func (v *HistogramVec) Merged() HistogramSnapshot {
+	if v == nil {
+		return HistogramSnapshot{}
+	}
+	out := HistogramSnapshot{
+		Bounds: append([]float64(nil), v.bounds...),
+		Counts: make([]int64, len(v.bounds)+1),
+	}
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	for _, k := range sortedKeys(v.children) {
+		hs := v.children[k].h.snapshot()
+		for i, c := range hs.Counts {
+			out.Counts[i] += c
+		}
+		out.Count += hs.Count
+		out.Sum += hs.Sum
+	}
+	return out
 }
 
 // LabeledCounterSnapshot is one counter child in a family snapshot.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -64,6 +65,74 @@ func TestHistogramVecSharesBounds(t *testing.T) {
 	for _, ch := range snap {
 		if len(ch.Hist.Bounds) != 3 || ch.Hist.Bounds[2] != 4 {
 			t.Fatalf("child bounds = %v", ch.Hist.Bounds)
+		}
+	}
+}
+
+func TestCounterVecSum(t *testing.T) {
+	var nilV *CounterVec
+	if got := nilV.Sum(nil); got != 0 {
+		t.Fatalf("nil family sum = %d, want 0", got)
+	}
+	v := NewRegistry().CounterVec("jobs", "tenant", "state")
+	if got := v.Sum(nil); got != 0 {
+		t.Fatalf("empty family sum = %d, want 0", got)
+	}
+	v.With("alice", "done").Add(3)
+	v.With("alice", "failed").Add(2)
+	v.With("bob", "done").Add(5)
+	v.With("", "done").Add(7) // an empty label value is a value, not a wildcard
+	for _, tc := range []struct {
+		match map[string]string
+		want  int64
+	}{
+		{nil, 17},
+		{map[string]string{}, 17},
+		{map[string]string{"tenant": "alice"}, 5},
+		{map[string]string{"state": "done"}, 15},
+		{map[string]string{"tenant": "alice", "state": "done"}, 3},
+		{map[string]string{"tenant": ""}, 7},
+		{map[string]string{"tenant": "carol"}, 0},
+		{map[string]string{"workload": "gram"}, 0}, // not a label of the family
+	} {
+		if got := v.Sum(tc.match); got != tc.want {
+			t.Errorf("Sum(%v) = %d, want %d", tc.match, got, tc.want)
+		}
+	}
+}
+
+func TestHistogramVecMerged(t *testing.T) {
+	var nilV *HistogramVec
+	if m := nilV.Merged(); m.Count != 0 || m.Quantile(0.5) != 0 {
+		t.Fatalf("nil family merged = %+v", m)
+	}
+	r := NewRegistry()
+	v := r.HistogramVec("lat", []float64{4, 1, 2}, "tenant") // unsorted on purpose
+	if m := v.Merged(); m.Count != 0 || len(m.Counts) != 4 || m.Quantile(0.99) != 0 {
+		t.Fatalf("empty family merged = %+v", m)
+	}
+	v.With("a").Observe(0.5)
+	v.With("a").Observe(3)
+	v.With("b").Observe(1.5)
+	v.With("b").Observe(9)
+	m := v.Merged()
+	if want := []float64{1, 2, 4}; !slices.Equal(m.Bounds, want) {
+		t.Fatalf("merged bounds = %v, want %v", m.Bounds, want)
+	}
+	if want := []int64{1, 1, 1, 1}; !slices.Equal(m.Counts, want) {
+		t.Fatalf("merged counts = %v, want %v", m.Counts, want)
+	}
+	if m.Count != 4 || m.Sum != 14 {
+		t.Fatalf("merged count/sum = %d/%v, want 4/14", m.Count, m.Sum)
+	}
+	// The merge is the histogram one unlabeled family would have recorded.
+	flat := r.Histogram("flat", []float64{1, 2, 4})
+	for _, x := range []float64{0.5, 3, 1.5, 9} {
+		flat.Observe(x)
+	}
+	for _, q := range []float64{0.25, 0.5, 0.95, 0.99} {
+		if got, want := m.Quantile(q), flat.Quantile(q); got != want {
+			t.Errorf("merged q%v = %v, unlabeled = %v", q, got, want)
 		}
 	}
 }

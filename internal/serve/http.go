@@ -37,6 +37,11 @@ type OutputSummary struct {
 
 const maxInlineCells = 4096
 
+// maxSubmitBytes bounds a POST /v1/jobs body. A registry job spec is a few
+// hundred bytes; anything near this size is a broken or hostile client, and
+// decoding it unbounded would let one request exhaust server memory.
+const maxSubmitBytes = 1 << 20
+
 // JobResponse is the job payload for submit/status/cancel responses; Outputs
 // is populated for terminal jobs when the result is requested.
 type JobResponse struct {
@@ -51,7 +56,7 @@ type errorResponse struct {
 
 // Handler returns the service's HTTP API:
 //
-//	POST   /v1/jobs            submit a registry workload
+//	POST   /v1/jobs            submit a registry workload (body at most 1 MiB)
 //	GET    /v1/jobs            list jobs (?tenant= and ?state= filters)
 //	GET    /v1/jobs/{id}       job status (?include=result adds output summaries)
 //	GET    /v1/jobs/{id}/trace Chrome-trace JSON from the flight recorder
@@ -170,8 +175,13 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	if req.Workload == "" {

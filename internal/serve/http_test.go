@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -197,6 +198,48 @@ func TestHTTPCancelAndValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %s = %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPSubmitBodyTooLarge: a submit body over the 1 MiB bound is refused
+// with 413 before any admission work, leaving no job, tenant or metric
+// behind.
+func TestHTTPSubmitBodyTooLarge(t *testing.T) {
+	s := newTestService(t, testOptions())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	body := `{"tenant":"big","workload":"gram","pad":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	resp, _, er := postJob(t, srv.URL, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit = %d (%+v), want 413", resp.StatusCode, er)
+	}
+	if er.Error == "" {
+		t.Error("413 without an error body")
+	}
+	st := s.Stats()
+	if st.Submitted != 0 || st.Rejected != 0 || len(st.Tenants) != 0 {
+		t.Errorf("oversized submit left stats behind: submitted %d rejected %d tenants %v",
+			st.Submitted, st.Rejected, st.Tenants)
+	}
+	if jobs := s.ListJobs("", ""); len(jobs) != 0 {
+		t.Errorf("oversized submit created jobs: %+v", jobs)
+	}
+	snap := s.Metrics().Snapshot()
+	for name, fam := range snap.CounterVecs {
+		if strings.HasPrefix(name, "serve.tenant.") && len(fam) != 0 {
+			t.Errorf("oversized submit recorded %s: %+v", name, fam)
+		}
+	}
+	for name, fam := range snap.HistogramVecs {
+		if strings.HasPrefix(name, "serve.tenant.") && len(fam) != 0 {
+			t.Errorf("oversized submit recorded %s: %+v", name, fam)
+		}
+	}
+
+	// A normal-sized body on the same server is still admitted.
+	if resp, _, er := postJob(t, srv.URL, `{"tenant":"small","workload":"gram"}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after 413 = %d: %+v", resp.StatusCode, er)
 	}
 }
 

@@ -63,11 +63,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE dmac_serve_tenant_queue_wait_seconds histogram\n",
 		`dmac_serve_tenant_queue_wait_seconds_bucket{tenant="alice",le="+Inf"} 1`,
 		`dmac_serve_tenant_job_gflops_bucket{tenant="alice",le="+Inf"} 1`,
-		"# TYPE dmac_serve_jobs_submitted_total counter\n",
+		"# TYPE dmac_plan_cache_misses_total counter\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// Job counts are exposed only as the labeled serve.tenant.* families.
+	if strings.Contains(body, "dmac_serve_jobs_submitted_total") {
+		t.Error("exposition still carries the flat dmac_serve_jobs_submitted_total series")
 	}
 
 	// Every non-comment line is "name{labels} value" or "name value" with a

@@ -43,16 +43,13 @@ func (q TenantQuota) withDefaults(def TenantQuota) TenantQuota {
 	return q
 }
 
-// tenantState is one tenant's live accounting, guarded by the service mutex.
+// tenantState is one tenant's live admission state, guarded by the service
+// mutex. Its cumulative counts live in the service's labeled metric families.
 type tenantState struct {
 	quota        TenantQuota
 	queued       int
 	running      int
 	runningBytes int64
-	// cumulative, exported through Stats
-	submitted int64
-	completed int64
-	rejected  int64
 }
 
 // canRun reports whether the tenant may start a job of the given price now.

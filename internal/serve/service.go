@@ -154,20 +154,10 @@ type Service struct {
 	wg             sync.WaitGroup
 	dispatcherDone chan struct{}
 
-	// metrics handles (registry-owned, concurrency-safe)
-	gQueueDepth  *obs.Gauge
-	gRunning     *obs.Gauge
-	hQueueWait   *obs.Histogram
-	hRunSeconds  *obs.Histogram
-	cSubmitted   *obs.Counter
-	cCompleted   *obs.Counter
-	cFailed      *obs.Counter
-	cCanceled    *obs.Counter
-	cRejected    *obs.Counter
-	rejectedByRC map[string]*obs.Counter
-	vSlots       *obs.GaugeVec // state: total | free | draining | desired
-
-	// labeled metric families (per-tenant exposition via /metrics)
+	// Labeled metric families (registry-owned, concurrency-safe): the
+	// service's only job counters. /metrics exposes them per tenant, and
+	// Stats and Observe derive their totals and quantiles from them.
+	vSlots      *obs.GaugeVec     // state: total | free | draining | desired
 	vSubmitted  *obs.CounterVec   // tenant, workload
 	vFinished   *obs.CounterVec   // tenant, workload, state
 	vRejected   *obs.CounterVec   // tenant, reason
@@ -219,20 +209,6 @@ func NewService(opts Options) (*Service, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	m := opts.Metrics
-	s.gQueueDepth = m.Gauge("serve.queue.depth")
-	s.gRunning = m.Gauge("serve.jobs.running")
-	s.hQueueWait = m.Histogram("serve.queue.wait.seconds", latencyBounds)
-	s.hRunSeconds = m.Histogram("serve.job.run.seconds", latencyBounds)
-	s.cSubmitted = m.Counter("serve.jobs.submitted")
-	s.cCompleted = m.Counter("serve.jobs.completed")
-	s.cFailed = m.Counter("serve.jobs.failed")
-	s.cCanceled = m.Counter("serve.jobs.canceled")
-	s.cRejected = m.Counter("serve.admit.rejected")
-	s.rejectedByRC = map[string]*obs.Counter{
-		"queue_full":   m.Counter("serve.admit.rejected.queue_full"),
-		"tenant_quota": m.Counter("serve.admit.rejected.tenant_quota"),
-		"draining":     m.Counter("serve.admit.rejected.draining"),
-	}
 	s.vSubmitted = m.CounterVec("serve.tenant.jobs.submitted", "tenant", "workload")
 	s.vFinished = m.CounterVec("serve.tenant.jobs.finished", "tenant", "workload", "state")
 	s.vRejected = m.CounterVec("serve.tenant.rejected", "tenant", "reason")
@@ -327,15 +303,8 @@ func (s *Service) tenant(name string) *tenantState {
 	return ts
 }
 
-func (s *Service) rejectLocked(tenant string, ts *tenantState, reason string, r *Rejection) error {
-	s.cRejected.Inc()
-	if c, ok := s.rejectedByRC[reason]; ok {
-		c.Inc()
-	}
+func (s *Service) rejectLocked(tenant, reason string, r *Rejection) error {
 	s.vRejected.With(tenant, reason).Inc()
-	if ts != nil {
-		ts.rejected++
-	}
 	s.logger.Warn("job rejected",
 		"tenant", tenant, "reason", reason, "detail", r.Reason,
 		"retryable", r.Retryable, "retry_after_sec", r.RetryAfter.Seconds())
@@ -374,23 +343,23 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	ts := s.tenant(spec.Tenant)
 	if s.draining {
-		return JobStatus{}, s.rejectLocked(spec.Tenant, ts, "draining",
+		return JobStatus{}, s.rejectLocked(spec.Tenant, "draining",
 			&Rejection{Reason: "service draining", Retryable: false})
 	}
 	if est > ts.quota.MaxBytes {
-		return JobStatus{}, s.rejectLocked(spec.Tenant, ts, "tenant_quota", &Rejection{
+		return JobStatus{}, s.rejectLocked(spec.Tenant, "tenant_quota", &Rejection{
 			Reason: fmt.Sprintf("job needs %d estimated bytes, tenant quota is %d", est, ts.quota.MaxBytes),
 		})
 	}
 	if ts.queued >= ts.quota.MaxQueued {
-		return JobStatus{}, s.rejectLocked(spec.Tenant, ts, "tenant_quota", &Rejection{
+		return JobStatus{}, s.rejectLocked(spec.Tenant, "tenant_quota", &Rejection{
 			Reason:     fmt.Sprintf("tenant has %d jobs queued (quota %d)", ts.queued, ts.quota.MaxQueued),
 			RetryAfter: s.retryAfterLocked(),
 			Retryable:  true,
 		})
 	}
 	if s.q.size >= s.opts.QueueCapacity {
-		return JobStatus{}, s.rejectLocked(spec.Tenant, ts, "queue_full", &Rejection{
+		return JobStatus{}, s.rejectLocked(spec.Tenant, "queue_full", &Rejection{
 			Reason:     fmt.Sprintf("admission queue full (%d)", s.q.size),
 			RetryAfter: s.retryAfterLocked(),
 			Retryable:  true,
@@ -412,10 +381,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
 	s.q.push(j)
 	s.queuedEstBytes += j.estBytes
 	ts.queued++
-	ts.submitted++
-	s.cSubmitted.Inc()
 	s.vSubmitted.With(spec.Tenant, spec.Workload).Inc()
-	s.gQueueDepth.Set(float64(s.q.size))
 	s.tenantGaugesLocked(spec.Tenant, ts)
 	s.logger.Info("job submitted",
 		"job", j.id, "tenant", spec.Tenant, "workload", spec.Workload,
@@ -543,10 +509,7 @@ func (s *Service) dispatcher() {
 		j.started = time.Now()
 		s.running++
 		wait := j.started.Sub(j.submitted).Seconds()
-		s.hQueueWait.Observe(wait)
 		s.vQueueWait.With(j.spec.Tenant).Observe(wait)
-		s.gQueueDepth.Set(float64(s.q.size))
-		s.gRunning.Set(float64(s.running))
 		s.slotGaugesLocked()
 		s.tenantGaugesLocked(j.spec.Tenant, ts)
 		s.logger.Info("job started",
@@ -650,7 +613,6 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 	ts := s.tenants[j.spec.Tenant]
 	ts.running--
 	ts.runningBytes -= j.estBytes
-	ts.completed++
 	j.state = state
 	j.err = runErr
 	j.result = res
@@ -658,12 +620,9 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 	j.iterations = iters
 	j.finished = time.Now()
 	switch state {
-	case StateDone:
-		s.cCompleted.Inc()
 	case StateCanceled:
 		j.canceled = true
-		s.cCanceled.Inc()
-	default:
+	case StateFailed:
 		if errors.Is(runErr, context.DeadlineExceeded) {
 			j.deadlined = true
 		}
@@ -671,7 +630,6 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 		if errors.As(runErr, &wf) {
 			j.faulted = true
 		}
-		s.cFailed.Inc()
 	}
 	s.running--
 	var toClose *engineSlot
@@ -685,7 +643,6 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 	} else {
 		s.freeSlots = append(s.freeSlots, slot)
 	}
-	s.gRunning.Set(float64(s.running))
 	s.slotGaugesLocked()
 	runSec := j.finished.Sub(j.started).Seconds()
 	// Calibrate the capacity model: the observed service time and the rate
@@ -706,7 +663,6 @@ func (s *Service) finishJob(j *job, slot *engineSlot, state State, runErr error,
 			}
 		}
 	}
-	s.hRunSeconds.Observe(runSec)
 	s.vFinished.With(j.spec.Tenant, j.spec.Workload, string(state)).Inc()
 	s.vRunSeconds.With(j.spec.Tenant, j.spec.Workload).Observe(runSec)
 	s.vCommBytes.With(j.spec.Tenant).Add(total.CommBytes)
@@ -818,12 +774,13 @@ func (s *Service) Resize(n int) error {
 }
 
 // Observe implements autoscale.Pool: one snapshot of the signals the
-// capacity model consumes. (Quantiles and burn rates come from the
-// concurrency-safe metric handles, not the service mutex.)
+// capacity model consumes. (The submission total and queue-wait quantile
+// come from the concurrency-safe metric families and burn rates from the SLO
+// tracker, not the service mutex.)
 func (s *Service) Observe() autoscale.Signals {
-	p99 := s.hQueueWait.Quantile(0.99)
+	p99 := s.vQueueWait.Merged().Quantile(0.99)
 	burn := s.slo.maxFastBurn()
-	submitted := s.cSubmitted.Value()
+	submitted := s.vSubmitted.Sum(nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return autoscale.Signals{
@@ -936,14 +893,11 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 		s.queuedEstBytes -= j.estBytes
 		ts := s.tenants[j.spec.Tenant]
 		ts.queued--
-		ts.completed++
 		j.state = StateCanceled
 		j.canceled = true
 		j.err = context.Canceled
 		j.finished = time.Now()
-		s.cCanceled.Inc()
 		s.vFinished.With(j.spec.Tenant, j.spec.Workload, string(StateCanceled)).Inc()
-		s.gQueueDepth.Set(float64(s.q.size))
 		s.tenantGaugesLocked(j.spec.Tenant, ts)
 		s.logger.Info("job canceled while queued", "job", j.id, "tenant", j.spec.Tenant)
 		st := j.status()
@@ -1003,19 +957,16 @@ func (s *Service) Stop(ctx context.Context) error {
 			s.queuedEstBytes -= j.estBytes
 			ts := s.tenants[j.spec.Tenant]
 			ts.queued--
-			ts.completed++
 			j.state = StateCanceled
 			j.canceled = true
 			j.err = fmt.Errorf("serve: shed at shutdown: %w", context.Canceled)
 			j.finished = time.Now()
-			s.cCanceled.Inc()
 			s.vFinished.With(j.spec.Tenant, j.spec.Workload, string(StateCanceled)).Inc()
 			s.tenantGaugesLocked(j.spec.Tenant, ts)
 			s.logger.Warn("job shed at shutdown", "job", j.id, "tenant", j.spec.Tenant)
 			doneCh = append(doneCh, j.done)
 			shed++
 		}
-		s.gQueueDepth.Set(0)
 		for _, j := range s.jobs {
 			if j.state == StateRunning {
 				j.cancelAsked = true

@@ -14,7 +14,8 @@ type CacheStats struct {
 	Bytes   int64 `json:"bytes,omitempty"`
 }
 
-// TenantStats is one tenant's live and cumulative accounting.
+// TenantStats is one tenant's live and cumulative accounting. Completed
+// counts every terminal state: done, failed and canceled.
 type TenantStats struct {
 	Queued       int   `json:"queued"`
 	Running      int   `json:"running"`
@@ -41,23 +42,26 @@ type Stats struct {
 	// model (the sum of queued jobs' admission estimates).
 	QueuedEstBytes int64 `json:"queued_est_bytes"`
 
+	// Totals over every tenant. Completed counts done jobs only.
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
 	Canceled  int64 `json:"canceled"`
 	Rejected  int64 `json:"rejected"`
 
-	// QueueWaitCount/Sum summarize the queue-wait histogram (seconds); the
-	// full distribution lives in the metrics registry.
+	// QueueWaitCount/Sum summarize the queue-wait histograms (seconds)
+	// merged over tenants; the per-tenant distributions live in the metrics
+	// registry.
 	QueueWaitCount int64   `json:"queue_wait_count"`
 	QueueWaitSum   float64 `json:"queue_wait_sum_sec"`
 	RunCount       int64   `json:"run_count"`
 	RunSum         float64 `json:"run_sum_sec"`
 
-	// Quantiles estimated from the server-side histograms by linear
-	// interpolation within buckets (obs.Histogram.Quantile), so clients and
-	// benches read latency percentiles from the service instead of
-	// recomputing them from raw samples.
+	// Quantiles of the tenant histograms merged into one
+	// (obs.HistogramVec.Merged), estimated by linear interpolation within
+	// buckets (obs.HistogramSnapshot.Quantile), so clients and benches read
+	// latency percentiles from the service instead of recomputing them from
+	// raw samples.
 	QueueWaitP50Sec float64 `json:"queue_wait_p50_sec"`
 	QueueWaitP95Sec float64 `json:"queue_wait_p95_sec"`
 	QueueWaitP99Sec float64 `json:"queue_wait_p99_sec"`
@@ -74,6 +78,9 @@ type Stats struct {
 }
 
 // Stats snapshots the service for /v1/stats and the bench load generator.
+// Every count and quantile is read from the labeled metric families under
+// the service mutex, which every update to them also holds, so the totals,
+// the per-tenant counts and the live queue state agree with each other.
 func (s *Service) Stats() Stats {
 	ph, pm, pe := s.shared.Stats()
 	jh, jm, je, jb := s.jobCache.stats()
@@ -85,27 +92,29 @@ func (s *Service) Stats() Stats {
 		PlanCache: CacheStats{Hits: ph, Misses: pm, Entries: pe},
 		JobCache:  CacheStats{Hits: jh, Misses: jm, Entries: je, Bytes: jb},
 		Tenants:   make(map[string]TenantStats),
-
-		Submitted:      s.cSubmitted.Value(),
-		Completed:      s.cCompleted.Value(),
-		Failed:         s.cFailed.Value(),
-		Canceled:       s.cCanceled.Value(),
-		Rejected:       s.cRejected.Value(),
-		QueueWaitCount: s.hQueueWait.Count(),
-		QueueWaitSum:   s.hQueueWait.Sum(),
-		RunCount:       s.hRunSeconds.Count(),
-		RunSum:         s.hRunSeconds.Sum(),
-
-		QueueWaitP50Sec: s.hQueueWait.Quantile(0.50),
-		QueueWaitP95Sec: s.hQueueWait.Quantile(0.95),
-		QueueWaitP99Sec: s.hQueueWait.Quantile(0.99),
-		RunP50Sec:       s.hRunSeconds.Quantile(0.50),
-		RunP95Sec:       s.hRunSeconds.Quantile(0.95),
-		RunP99Sec:       s.hRunSeconds.Quantile(0.99),
+		Autoscale: as,
 	}
-	st.Autoscale = as
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	finished := func(state State) int64 {
+		return s.vFinished.Sum(map[string]string{"state": string(state)})
+	}
+	st.Submitted = s.vSubmitted.Sum(nil)
+	st.Completed = finished(StateDone)
+	st.Failed = finished(StateFailed)
+	st.Canceled = finished(StateCanceled)
+	st.Rejected = s.vRejected.Sum(nil)
+	wait := s.vQueueWait.Merged()
+	run := s.vRunSeconds.Merged()
+	st.QueueWaitCount, st.QueueWaitSum = wait.Count, wait.Sum
+	st.RunCount, st.RunSum = run.Count, run.Sum
+	st.QueueWaitP50Sec = wait.Quantile(0.50)
+	st.QueueWaitP95Sec = wait.Quantile(0.95)
+	st.QueueWaitP99Sec = wait.Quantile(0.99)
+	st.RunP50Sec = run.Quantile(0.50)
+	st.RunP95Sec = run.Quantile(0.95)
+	st.RunP99Sec = run.Quantile(0.99)
+
 	st.Draining = s.draining
 	st.SlotsTotal = len(s.slots)
 	st.SlotsFree = len(s.freeSlots)
@@ -115,13 +124,14 @@ func (s *Service) Stats() Stats {
 	st.Running = s.running
 	st.QueuedEstBytes = s.queuedEstBytes
 	for name, ts := range s.tenants {
+		tenant := map[string]string{"tenant": name}
 		st.Tenants[name] = TenantStats{
 			Queued:       ts.queued,
 			Running:      ts.running,
 			RunningBytes: ts.runningBytes,
-			Submitted:    ts.submitted,
-			Completed:    ts.completed,
-			Rejected:     ts.rejected,
+			Submitted:    s.vSubmitted.Sum(tenant),
+			Completed:    s.vFinished.Sum(tenant),
+			Rejected:     s.vRejected.Sum(tenant),
 		}
 	}
 	return st
